@@ -238,18 +238,6 @@ crellvm::cluster::aggregateMemberStats(const std::vector<json::Value> &Docs,
                                  : 0));
   Root.set("cache", std::move(CacheV));
 
-  // Micro-batching: flat counters sum (the nested per_preset detail is
-  // per-member and skipped); the mean is recomputed from the sums, like
-  // the cache hit rate above.
-  json::Value BatchV = sumIntSection(Docs, "batching");
-  uint64_t Batches = intField(&BatchV, "batches_formed"),
-           Units = intField(&BatchV, "batched_units");
-  BatchV.set("mean_batch_size_ppm",
-             json::Value(Batches ? static_cast<uint64_t>(
-                                       Units * 1000000.0 / Batches + 0.5)
-                                 : 0));
-  Root.set("batching", std::move(BatchV));
-
   // Checker plans: specialized/fallback/divergence totals sum; a nonzero
   // cluster-wide `divergences` (or `demotions`) is the alarm the shadow
   // ladder exists to ring. Mode strings are per-member and skipped.
@@ -265,7 +253,6 @@ crellvm::cluster::aggregateMemberStats(const std::vector<json::Value> &Docs,
   Lat.set("queue", mergeHists(Collect("latency_us", "queue")));
   Lat.set("total", mergeHists(Collect("latency_us", "total")));
   Root.set("latency_us", std::move(Lat));
-  Root.set("batch_size", mergeHists(Collect("batch_size", nullptr)));
 
   // Gauges: capacities sum; oracle is only claimable cluster-wide when
   // EVERY member runs it (a bug-hunt through the router must not trust

@@ -118,7 +118,7 @@ uint64_t routePointOf(const server::Request &R);
 
 /// Pure aggregation over member stats documents, unit-testable without
 /// any socket. Sums the integer counters of the "requests", "verdicts"
-/// and "cache" sections, merges latency/batch histograms exactly from
+/// and "cache" sections, merges latency histograms exactly from
 /// their per-bucket counts, and folds the "server" gauges. Returns
 /// std::nullopt with \p Err naming the offending member when a document
 /// is missing a schema stamp or carries a version other than

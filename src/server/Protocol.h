@@ -92,7 +92,10 @@ constexpr uint32_t MaxFrameBytes = 64u << 20;
 /// 2: added the "batching" and "plan" sections (members and router are
 ///    rebuilt together, and mixing documents with and without them would
 ///    silently under-count the new totals).
-constexpr uint64_t StatsSchemaVersion = 2;
+/// 3: removed the "batching" section, the "batch_size" histogram,
+///    "server.batch_max" and "requests.batches": each admitted request
+///    runs as its own pool task, so there are no batches left to count.
+constexpr uint64_t StatsSchemaVersion = 3;
 
 /// Hard lower bound on the `retry_after_ms` backpressure hint. A cold
 /// daemon has an empty latency histogram (p50 = 0), and a hint of 0 ms

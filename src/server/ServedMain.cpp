@@ -7,7 +7,7 @@
 // rejected, the cache flushes, then the process exits 0.
 //
 //   crellvm-served --socket PATH [--jobs N] [--queue-max N]
-//                  [--batch-max N] [--linger-us N] [--files] [--oracle]
+//                  [--files] [--oracle]
 //                  [--cache=off|ro|rw] [--cache-dir DIR] [--cache-shared]
 //                  [--cache-max-mb N] [--unit-timeout-ms N]
 //                  [--quarantine-after N] [--member-id ID] [--chaos SPEC]
@@ -43,8 +43,8 @@ void printUsage(std::ostream &OS, const char *Argv0) {
   OS << "usage: " << Argv0 << " --socket PATH [options]\n"
      << "\n"
      << "Persistent validation service: accepts validation requests over a\n"
-     << "Unix-domain socket (length-prefixed JSON frames), coalesces them\n"
-     << "into batches on a shared thread pool, and keeps one validation\n"
+     << "Unix-domain socket (length-prefixed JSON frames), runs each one\n"
+     << "as its own task on a shared thread pool, and keeps one validation\n"
      << "cache warm across all requests. SIGTERM drains gracefully: every\n"
      << "accepted request still gets its verdict, new ones are rejected.\n"
      << "\n"
@@ -53,9 +53,6 @@ void printUsage(std::ostream &OS, const char *Argv0) {
      << "  --jobs N          pool worker threads (default: all hardware)\n"
      << "  --queue-max N     admission queue bound; beyond it requests are\n"
      << "                    rejected with retry_after_ms (default 256)\n"
-     << "  --batch-max N     max requests coalesced per batch (default 32)\n"
-     << "  --linger-us N     micro-batching linger in microseconds\n"
-     << "                    (default 200; 0 = dispatch immediately)\n"
      << "  --files           exchange src/tgt/proof through files (I/O col)\n"
      << "  --oracle          differentially execute accepted translations\n"
      << "  --cache=MODE      validation cache: off (default) | ro | rw\n"
@@ -67,7 +64,7 @@ void printUsage(std::ostream &OS, const char *Argv0) {
      << "  --cache-max-mb N  on-disk cache bound in MiB (default 256)\n"
      << "  --unit-timeout-ms N  per-unit watchdog; a unit still running\n"
      << "                    past it is answered internal_error while its\n"
-     << "                    batch continues (default: off)\n"
+     << "                    worker finishes (default: off)\n"
      << "  --quarantine-after N  reject a unit after N consecutive\n"
      << "                    internal_error runs (default 2; 0 = never)\n"
      << "  --plan=MODE       per-preset checker plans: off (default) |\n"
@@ -112,10 +109,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Service.Jobs = static_cast<unsigned>(N);
     else if (A == "--queue-max" && NextNum(N))
       O.Service.QueueMax = static_cast<size_t>(N);
-    else if (A == "--batch-max" && NextNum(N))
-      O.Service.BatchMax = static_cast<size_t>(N);
-    else if (A == "--linger-us" && NextNum(N))
-      O.Service.BatchLingerUs = N;
     else if (A == "--files")
       O.Service.Driver.WriteFiles = true;
     else if (A == "--oracle")

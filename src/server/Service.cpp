@@ -79,37 +79,42 @@ ValidationService::ValidationService(ServiceOptions Options)
   Opts.Driver.Plans = Opts.Plan != plan::PlanMode::Off ? &Plans : nullptr;
   if (Opts.MemberId.empty())
     Opts.MemberId = "pid:" + std::to_string(static_cast<uint64_t>(::getpid()));
-  Dispatcher = std::thread([this] { dispatcherLoop(); });
 }
 
 ValidationService::~ValidationService() {
-  {
-    std::lock_guard<std::mutex> L(M);
-    Draining = true;
-    Stopping = true;
-    Paused = false;
-  }
-  QueueCv.notify_all();
-  Dispatcher.join();
+  beginShutdown();
+  drain();
+  // drain() returns once the last task signalled idle; the task itself
+  // may still be unwinding, so wait for the pool before members go.
+  Pool.wait();
+}
+
+void ValidationService::startTasks(size_t N) {
+  // Never called under M: a refused enqueue (the pool.submit chaos site)
+  // runs the task inline, and the task takes M.
+  for (size_t I = 0; I != N; ++I)
+    Pool.submit([this] { runOne(); });
 }
 
 void ValidationService::resume() {
+  size_t Deferred = 0;
   {
     std::lock_guard<std::mutex> L(M);
+    if (Paused)
+      Deferred = Queue.size();
     Paused = false;
   }
-  QueueCv.notify_all();
+  startTasks(Deferred);
 }
 
 void ValidationService::beginShutdown() {
   {
     std::lock_guard<std::mutex> L(M);
     Draining = true;
-    // A paused service still owes verdicts to everything it admitted:
-    // drain implies dispatching.
-    Paused = false;
   }
-  QueueCv.notify_all();
+  // A paused service still owes verdicts to everything it admitted:
+  // drain implies running.
+  resume();
 }
 
 bool ValidationService::draining() const {
@@ -265,7 +270,7 @@ void ValidationService::submit(const Request &R, Callback Done) {
   if (R.DeadlineMs)
     P.Deadline = P.Arrival + std::chrono::milliseconds(R.DeadlineMs);
 
-  bool Notify = false;
+  bool Admitted = false, Start = false;
   {
     std::lock_guard<std::mutex> L(M);
     if (Draining) {
@@ -284,14 +289,14 @@ void ValidationService::submit(const Request &R, Callback Done) {
     } else {
       ++Stats.Accepted;
       Queue.push_back(std::move(P));
-      Notify = true;
+      Admitted = true;
+      Start = !Paused;
     }
   }
-  if (Notify) {
-    QueueCv.notify_all();
-    return;
-  }
-  P.Done(std::move(Rsp)); // rejected: P was not moved into the queue
+  if (Start)
+    startTasks(1);
+  if (!Admitted)
+    P.Done(std::move(Rsp)); // rejected: P was not moved into the queue
 }
 
 Response ValidationService::call(const Request &R) {
@@ -313,35 +318,15 @@ Response ValidationService::call(const Request &R) {
   return W->Rsp;
 }
 
-std::vector<ValidationService::Pending> ValidationService::takeBatchLocked() {
-  std::vector<Pending> Batch;
-  if (Queue.empty())
-    return Batch;
-  // One driver batch shares one BugConfig, so coalesce only requests with
-  // the front's preset; others keep their queue position for a later
-  // batch (FIFO across presets is preserved within each preset).
-  const std::string Preset = Queue.front().R.Bugs;
-  for (auto It = Queue.begin();
-       It != Queue.end() && Batch.size() < Opts.BatchMax;) {
-    if (It->R.Bugs == Preset) {
-      Batch.push_back(std::move(*It));
-      It = Queue.erase(It);
-    } else {
-      ++It;
-    }
-  }
-  return Batch;
-}
-
 void ValidationService::finishOne(Pending &P, Response Rsp,
-                                  Clock::time_point BatchStart) {
+                                  Clock::time_point Start) {
   auto Now = Clock::now();
   auto Us = [](Clock::duration D) {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(D).count());
   };
   Rsp.Id = P.R.Id;
-  Rsp.QueueUs = Us(BatchStart - P.Arrival);
+  Rsp.QueueUs = Us(Start - P.Arrival);
   Rsp.TotalUs = Us(Now - P.Arrival);
   QueueLatencyUs.record(Rsp.QueueUs);
   TotalLatencyUs.record(Rsp.TotalUs);
@@ -366,33 +351,33 @@ void ValidationService::finishOne(Pending &P, Response Rsp,
   Done(std::move(Rsp));
 }
 
-void ValidationService::runBatch(std::vector<Pending> &Batch) {
-  Clock::time_point BatchStart = Clock::now();
-  // Counted at dispatch, not at completion: per-unit callbacks answer
-  // clients while the batch is still running, and a stats probe racing
-  // them must already see the batch.
-  BatchSizes.record(Batch.size());
+void ValidationService::runOne() {
+  Pending P;
   {
     std::lock_guard<std::mutex> L(M);
+    // Tasks pop the FIFO rather than carry their own request: the pool's
+    // per-worker deques are owner-LIFO, the admission order is not.
+    P = std::move(Queue.front());
+    Queue.pop_front();
+    ++Running;
     ++Stats.Batches;
+    ++Stats.BatchedUnits;
   }
-  static std::atomic<uint64_t> BatchSeq{0};
+  Clock::time_point Start = Clock::now();
+  static std::atomic<uint64_t> TaskSeq{0};
   driver::DriverOptions DOpts = Opts.Driver;
-  DOpts.Cache = Cache.enabled() ? &Cache : nullptr;
-  DOpts.ExchangeTag = "srv" + std::to_string(
-                                  BatchSeq.fetch_add(1, std::memory_order_relaxed));
+  DOpts.ExchangeTag =
+      "srv" + std::to_string(TaskSeq.fetch_add(1, std::memory_order_relaxed));
 
   driver::BatchOptions BOpts;
-  BOpts.Jobs = Pool.numThreads();
+  BOpts.Jobs = 1; // this task is the request's one pool slot
   BOpts.UnitTimeoutMs = Opts.UnitTimeoutMs;
-  BOpts.CancelUnit = [&Batch](size_t I) {
-    const Pending &P = Batch[I];
+  BOpts.CancelUnit = [&P](size_t) {
     return P.R.DeadlineMs != 0 && Clock::now() > P.Deadline;
   };
-  BOpts.OnUnitDone = [this, &Batch, BatchStart](size_t I,
-                                                const driver::StatsMap &Unit,
-                                                driver::UnitOutcome Outcome,
-                                                const std::string &Detail) {
+  BOpts.OnUnitDone = [this, &P, Start](size_t, const driver::StatsMap &Unit,
+                                       driver::UnitOutcome Outcome,
+                                       const std::string &Detail) {
     Response Rsp;
     switch (Outcome) {
     case driver::UnitOutcome::Cancelled:
@@ -429,14 +414,13 @@ void ValidationService::runBatch(std::vector<Pending> &Batch) {
     // Only Ok and the two failure outcomes touch the quarantine streak; a
     // deadline expiry says nothing about the unit itself.
     if (Outcome != driver::UnitOutcome::Cancelled)
-      noteUnitResult(Batch[I].R, Outcome != driver::UnitOutcome::Ok);
-    finishOne(Batch[I], std::move(Rsp), BatchStart);
+      noteUnitResult(P.R, Outcome != driver::UnitOutcome::Ok);
+    finishOne(P, std::move(Rsp), Start);
   };
 
   driver::runBatchValidated(
-      Batch.front().Bugs, DOpts, Batch.size(),
-      [&Batch](size_t I) {
-        const Pending &P = Batch[I];
+      P.Bugs, DOpts, 1,
+      [&P](size_t) {
         if (P.Mod)
           return *P.Mod;
         // Exactly what `crellvm-validate --seed S --modules 1` feeds the
@@ -445,83 +429,27 @@ void ValidationService::runBatch(std::vector<Pending> &Batch) {
         G.Seed = P.R.Seed;
         return workload::generateModule(G);
       },
-      BOpts, &Pool);
-}
+      BOpts);
 
-void ValidationService::dispatcherLoop() {
-  for (;;) {
-    std::vector<Pending> Batch;
-    {
-      std::unique_lock<std::mutex> L(M);
-      QueueCv.wait(L, [this] {
-        return Stopping || (!Paused && !Queue.empty());
-      });
-      if (Queue.empty()) {
-        IdleCv.notify_all();
-        if (Stopping)
-          return;
-        continue;
-      }
-      // Micro-batching: when the queue is shallower than a full batch,
-      // linger briefly so closely spaced submitters coalesce into one
-      // driver batch instead of many tiny ones.
-      bool Lingered = false, LingerGrew = false;
-      if (!Stopping && Opts.BatchLingerUs &&
-          Queue.size() < Opts.BatchMax) {
-        size_t PreLinger = Queue.size();
-        Lingered = true;
-        QueueCv.wait_for(L, std::chrono::microseconds(Opts.BatchLingerUs),
-                         [this] {
-                           return Stopping || Queue.size() >= Opts.BatchMax;
-                         });
-        LingerGrew = Queue.size() > PreLinger;
-      }
-      Batch = takeBatchLocked();
-      InFlight = Batch.size();
-      if (Lingered) {
-        ++Stats.LingerWaits;
-        if (LingerGrew)
-          ++Stats.LingerHits;
-      }
-      if (!Batch.empty()) {
-        // A linger hit is attributed to the batch it fed — the one formed
-        // immediately after the wait — so per-preset linger effectiveness
-        // reflects which preset's traffic actually coalesced.
-        Stats.BatchedUnits += Batch.size();
-        PresetBatching &PB = BatchingByPreset[Batch.front().R.Bugs];
-        ++PB.Batches;
-        PB.Units += Batch.size();
-        if (Lingered && LingerGrew)
-          ++PB.LingerHits;
-      }
-    }
-    if (!Batch.empty())
-      runBatch(Batch);
-    {
-      std::lock_guard<std::mutex> L(M);
-      InFlight = 0;
-      if (Queue.empty())
-        IdleCv.notify_all();
-    }
-  }
+  std::lock_guard<std::mutex> L(M);
+  if (--Running == 0 && Queue.empty())
+    IdleCv.notify_all();
 }
 
 void ValidationService::drain() {
   std::unique_lock<std::mutex> L(M);
-  IdleCv.wait(L, [this] { return Queue.empty() && InFlight == 0; });
+  IdleCv.wait(L, [this] { return Queue.empty() && Running == 0; });
 }
 
 json::Value ValidationService::statsJson() {
   ServiceCounters C;
   size_t Depth;
   bool IsDraining;
-  std::map<std::string, PresetBatching> Batching;
   {
     std::lock_guard<std::mutex> L(M);
     C = Stats;
     Depth = Queue.size();
     IsDraining = Draining;
-    Batching = BatchingByPreset;
   }
 
   json::Value Root = json::Value::object();
@@ -535,7 +463,6 @@ json::Value ValidationService::statsJson() {
   Server.set("jobs", json::Value(static_cast<uint64_t>(Pool.numThreads())));
   Server.set("queue_depth", json::Value(static_cast<uint64_t>(Depth)));
   Server.set("queue_max", json::Value(static_cast<uint64_t>(Opts.QueueMax)));
-  Server.set("batch_max", json::Value(static_cast<uint64_t>(Opts.BatchMax)));
   // Campaign clients check this before a bug-hunt: without the oracle the
   // daemon cannot expose checker-accepted miscompilations (PR33673).
   Server.set("oracle", json::Value(Opts.Driver.RunOracle));
@@ -557,7 +484,6 @@ json::Value ValidationService::statsJson() {
   Req.set("deadline_exceeded", json::Value(C.DeadlineExpired));
   Req.set("internal_errors", json::Value(C.InternalErrors));
   Req.set("watchdog_timeouts", json::Value(C.WatchdogTimeouts));
-  Req.set("batches", json::Value(C.Batches));
   Req.set("stats_requests", json::Value(C.StatsRequests));
   Root.set("requests", std::move(Req));
 
@@ -586,37 +512,6 @@ json::Value ValidationService::statsJson() {
   CacheV.set("disk_bytes", json::Value(Cache.diskBytes()));
   Root.set("cache", std::move(CacheV));
 
-  // Micro-batching effectiveness. Flat ints sum across members; the
-  // mean is recomputed from the summed fields by the aggregator (a mean
-  // of means would weight idle members equally with loaded ones).
-  json::Value BatchV = json::Value::object();
-  BatchV.set("batches_formed", json::Value(C.Batches));
-  BatchV.set("batched_units", json::Value(C.BatchedUnits));
-  BatchV.set("linger_waits", json::Value(C.LingerWaits));
-  BatchV.set("linger_hits", json::Value(C.LingerHits));
-  BatchV.set("mean_batch_size_ppm",
-             json::Value(C.Batches
-                             ? static_cast<uint64_t>(C.BatchedUnits *
-                                                         1000000.0 / C.Batches +
-                                                     0.5)
-                             : 0));
-  json::Value PerPreset = json::Value::object();
-  for (const auto &KV : Batching) {
-    json::Value E = json::Value::object();
-    E.set("batches", json::Value(KV.second.Batches));
-    E.set("units", json::Value(KV.second.Units));
-    E.set("linger_hits", json::Value(KV.second.LingerHits));
-    E.set("mean_batch_size_ppm",
-          json::Value(KV.second.Batches
-                          ? static_cast<uint64_t>(KV.second.Units * 1000000.0 /
-                                                      KV.second.Batches +
-                                                  0.5)
-                          : 0));
-    PerPreset.set(KV.first, std::move(E));
-  }
-  BatchV.set("per_preset", std::move(PerPreset));
-  Root.set("batching", std::move(BatchV));
-
   // Checker-plan pipeline (plan/PlanManager.h): flat totals sum across
   // members; the nested per_preset detail stays per-member.
   Root.set("plan", Plans.statsJson());
@@ -625,7 +520,6 @@ json::Value ValidationService::statsJson() {
   Lat.set("queue", histJson(QueueLatencyUs));
   Lat.set("total", histJson(TotalLatencyUs));
   Root.set("latency_us", std::move(Lat));
-  Root.set("batch_size", histJson(BatchSizes));
 
   // Fault-injection telemetry, so an operator can tell a chaos run (and
   // what it injected) apart from a genuinely failing disk or peer.

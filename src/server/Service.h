@@ -4,8 +4,7 @@
 /// The transport-agnostic heart of `crellvm-served`: one warm
 /// cache::ValidationCache and one work-stealing ThreadPool owned for the
 /// process lifetime, fed by a bounded admission queue with explicit
-/// backpressure, a micro-batching dispatcher, per-request deadlines, and
-/// a graceful drain.
+/// backpressure, per-request deadlines, and a graceful drain.
 ///
 /// Request lifecycle:
 ///
@@ -13,23 +12,22 @@
 ///                       with `queue_full` + retry_after_ms when the
 ///                       bounded queue is at capacity, or with
 ///                       `shutting_down` once a drain began. Admission
-///                       never blocks the caller.
-///   dispatcher thread   pops the queue, coalescing up to BatchMax
-///                       requests that share a bug configuration into one
-///                       driver::runBatchValidated call (after lingering
-///                       BatchLingerUs for stragglers when the queue is
-///                       shallow), run on the shared pool so units of one
-///                       batch validate concurrently.
-///   per-unit hooks      BatchOptions::CancelUnit expires requests whose
-///                       deadline passed while queued;
-///                       BatchOptions::OnUnitDone answers each request
-///                       from the worker thread the moment its unit
-///                       finishes — a slow unit never delays its batch
-///                       siblings' responses.
+///                       never blocks the caller. Each admitted request
+///                       is appended to the FIFO and gets one pool task.
+///   pool task           pops the FIFO's front (so requests start in
+///                       admission order whatever order the pool runs
+///                       its tasks in), then validates that one unit
+///                       through driver::runBatchValidated inline on the
+///                       worker. No request waits for another: there is
+///                       no batch to fill and nothing to linger for.
+///   per-unit hooks      BatchOptions::CancelUnit expires a request whose
+///                       deadline passed while it queued;
+///                       BatchOptions::OnUnitDone answers it from the
+///                       worker the moment its unit finishes.
 ///   beginShutdown()     new work is rejected, everything already
 ///                       admitted still gets a verdict (or its deadline
-///                       expiry); drain() blocks until the queue and the
-///                       in-flight batch are empty. **No admitted request
+///                       expiry); drain() blocks until the queue is empty
+///                       and no task is running. **No admitted request
 ///                       is ever dropped without a response.**
 ///
 /// Every verdict is produced by exactly the same ValidationDriver stack
@@ -58,31 +56,25 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 namespace crellvm {
 namespace server {
 
 struct ServiceOptions {
-  /// Pool workers shared by all batches; 0 = hardware concurrency.
+  /// Pool workers shared by all requests; 0 = hardware concurrency.
   unsigned Jobs = 0;
   /// Bounded admission queue; submits beyond it are rejected with
   /// `queue_full` and a retry_after_ms hint (explicit backpressure, the
   /// alternative being unbounded memory growth under overload).
   size_t QueueMax = 256;
-  /// Most units one driver batch coalesces.
-  size_t BatchMax = 32;
-  /// How long the dispatcher lingers for more requests when fewer than
-  /// BatchMax are queued; 0 = dispatch immediately (no coalescing delay).
-  uint64_t BatchLingerUs = 200;
   /// Floor for the retry_after_ms backoff hint. However low this is
   /// configured, the hint never drops below server::MinRetryAfterMs — a
   /// cold daemon's empty latency histogram must not hint 0 ms and turn
   /// backpressured clients into hot-spinners.
   uint64_t RetryAfterMsFloor = 10;
   /// Per-unit watchdog deadline handed to driver::BatchOptions; a unit
-  /// still running past it is answered `internal_error` while its batch
-  /// siblings proceed. 0 disables the watchdog.
+  /// still running past it is answered `internal_error` while its worker
+  /// finishes in the background. 0 disables the watchdog.
   uint64_t UnitTimeoutMs = 0;
   /// After this many *consecutive* internal_error answers for the same
   /// unit identity (seed or module hash, plus bugs preset), further
@@ -90,9 +82,9 @@ struct ServiceOptions {
   /// re-running a unit that keeps crashing or hanging the pool. A
   /// successful run clears the streak. 0 disables quarantining.
   uint64_t QuarantineAfter = 2;
-  /// Construct with the dispatcher paused; tests use this to set up
-  /// deterministic queue states (a full queue, an expired deadline)
-  /// before any batch runs. resume() starts dispatching.
+  /// Construct paused: admitted requests queue but no task starts until
+  /// resume(). Tests use this to set up deterministic queue states (a
+  /// full queue, an expired deadline) before anything runs.
   bool StartPaused = false;
   /// Identity stamped as `member_id` into the stats document, so the
   /// cluster router can attribute an aggregated counter back to the
@@ -104,7 +96,7 @@ struct ServiceOptions {
   driver::DriverOptions Driver;
   /// The warm cache kept across all requests (policy Off disables it).
   cache::ValidationCacheOptions Cache;
-  /// Checker-plan mode for every batch (plan/PlanManager.h). The service
+  /// Checker-plan mode for every request (plan/PlanManager.h). The service
   /// owns one warm PlanManager for the process lifetime, wired to the
   /// cache's disk tier so plans persist — and, in a cluster, are shared —
   /// through the same content-addressed store as verdicts. Plans are
@@ -126,10 +118,12 @@ struct ServiceCounters {
   uint64_t DeadlineExpired = 0;
   uint64_t InternalErrors = 0;    ///< answered internal_error (threw/hung)
   uint64_t WatchdogTimeouts = 0;  ///< InternalErrors due to the watchdog
+  /// Kept only because the benchmark in ledger/ reads them, until a
+  /// benchmark change retires them: Batches and BatchedUnits both count
+  /// pool tasks started (one per request), and LingerWaits stays 0.
   uint64_t Batches = 0;
-  uint64_t BatchedUnits = 0;      ///< units across all formed batches
-  uint64_t LingerWaits = 0;       ///< dispatcher lingered for stragglers
-  uint64_t LingerHits = 0;        ///< lingers during which the queue grew
+  uint64_t BatchedUnits = 0;
+  uint64_t LingerWaits = 0;
   uint64_t VerdictsV = 0, VerdictsF = 0, VerdictsNS = 0;
   uint64_t DiffMismatches = 0;
   uint64_t OracleDivergences = 0; ///< nonzero only with Driver.RunOracle
@@ -143,8 +137,8 @@ public:
 
   explicit ValidationService(ServiceOptions Opts);
 
-  /// Drains (rejecting nothing that was admitted) and stops the
-  /// dispatcher.
+  /// Drains (rejecting nothing that was admitted) and waits for the
+  /// pool to go idle.
   ~ValidationService() override;
 
   ValidationService(const ValidationService &) = delete;
@@ -159,14 +153,14 @@ public:
   /// Synchronous convenience: submit and wait for the response.
   Response call(const Request &R);
 
-  /// Starts the dispatcher when constructed with StartPaused.
+  /// Starts the queued requests' tasks when constructed with StartPaused.
   void resume();
 
   /// Stops admitting; everything already queued or running still
   /// completes. Idempotent.
   void beginShutdown() override;
 
-  /// Blocks until the queue and any in-flight batch are empty.
+  /// Blocks until the queue is empty and no task is running.
   void drain() override;
 
   bool draining() const;
@@ -192,11 +186,11 @@ private:
     Clock::time_point Deadline; ///< meaningful iff R.DeadlineMs != 0
   };
 
-  void dispatcherLoop();
-  /// Pops up to BatchMax queued requests sharing the front's bug config.
-  std::vector<Pending> takeBatchLocked();
-  void runBatch(std::vector<Pending> &Batch);
-  void finishOne(Pending &P, Response Rsp, Clock::time_point BatchStart);
+  /// Submits \p N pool tasks; must not be called with M held.
+  void startTasks(size_t N);
+  /// One pool task: pops the queue's front request and answers it.
+  void runOne();
+  void finishOne(Pending &P, Response Rsp, Clock::time_point Start);
   uint64_t retryAfterMsHint();
   /// Stable identity of a validate request for the quarantine list.
   static std::string unitKey(const Request &R);
@@ -212,31 +206,18 @@ private:
   ThreadPool Pool;
 
   mutable std::mutex M;
-  std::condition_variable QueueCv; ///< wakes the dispatcher
-  std::condition_variable IdleCv;  ///< wakes drain()ers
-  std::deque<Pending> Queue;
+  std::condition_variable IdleCv; ///< wakes drain()ers
+  std::deque<Pending> Queue;      ///< admitted, not yet started (FIFO)
   bool Paused = false;
   bool Draining = false;
-  bool Stopping = false;   ///< dispatcher must exit once queue is empty
-  size_t InFlight = 0;     ///< units handed to the current batch
+  size_t Running = 0;             ///< tasks that popped, not yet done
   ServiceCounters Stats;
   /// unitKey -> consecutive internal_error count (guarded by M). Keys at
   /// or above QuarantineAfter are refused admission.
   std::map<std::string, uint64_t> FailStreaks;
-  /// Per-preset micro-batching detail (guarded by M), keyed by the
-  /// request's bugs preset name; surfaced nested under stats "batching".
-  struct PresetBatching {
-    uint64_t Batches = 0;
-    uint64_t Units = 0;
-    uint64_t LingerHits = 0;
-  };
-  std::map<std::string, PresetBatching> BatchingByPreset;
 
-  Histogram QueueLatencyUs; ///< admission -> batch start
+  Histogram QueueLatencyUs; ///< admission -> task start
   Histogram TotalLatencyUs; ///< admission -> response
-  Histogram BatchSizes;
-
-  std::thread Dispatcher;
 };
 
 /// In-process transport for tests: every request and response crosses the

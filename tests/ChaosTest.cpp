@@ -645,6 +645,21 @@ TEST(ChaosService, QuarantineStopsRepeatInternalErrorOffenders) {
   EXPECT_EQ(C2.Accepted, C2.Completed + C2.DeadlineExpired + C2.InternalErrors);
 }
 
+// A refused enqueue runs the task inline on the submitting thread, and
+// the task takes the service lock: the service must never call into the
+// pool while it holds that lock, or this request deadlocks.
+TEST(ChaosService, RefusedPoolEnqueueStillAnswersTheRequest) {
+  server::ValidationService S(fastOptions());
+  server::LoopbackTransport T(S);
+
+  ScopedChaos C("pool.submit:at=1");
+  server::Response R = T.call(validateSeed(640, 1));
+  EXPECT_EQ(R.Status, server::ResponseStatus::Ok) << R.Reason;
+  EXPECT_GT(R.totalV(), 0u);
+  EXPECT_EQ(fault::counters()["pool.submit"].Injected, 1u)
+      << "the request's own task must have run inline";
+}
+
 TEST(ChaosService, ForcedShedIsClientVisibleBackpressure) {
   server::ServiceOptions O = fastOptions();
   O.StartPaused = true;

@@ -191,6 +191,23 @@ TEST(CliSmoke, BadChaosSpecExitsTwoOnEveryBinary) {
   }
 }
 
+// The daemon runs every request as its own pool task; the micro-batching
+// flags are gone and must be refused, not silently ignored. (The socket
+// directory does not exist, so a daemon that accepted the flag would
+// fail to bind and exit 1 instead of listening.)
+TEST(CliSmoke, ServedRejectsRetiredBatchingFlags) {
+  const char *Rows[] = {"--linger-us", "--batch-max"};
+  for (const char *Flag : Rows) {
+    RunResult R = runBinary(CRELLVM_SERVED_BIN,
+                            "--socket /nonexistent-dir/crellvm.sock " +
+                                std::string(Flag) + " 200",
+                            /*MergeStderr=*/true);
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Stdout.find(Flag), std::string::npos)
+        << Flag << " should be named";
+  }
+}
+
 // Connecting to a socket nobody listens on is the most common operator
 // error; it must produce the actionable one-liner and exit 2 (bad usage /
 // environment), not a raw errno dump and a generic failure.

@@ -14,10 +14,9 @@
 //   PlanManager    mode dispatch, once-per-key builds at any concurrency,
 //                  the shadow comparison and the divergence demotion
 //                  ladder;
-//   PlanServer     the service stats document carries the "plan" and
-//                  "batching" sections cluster aggregation sums. (Suite
-//                  name contains "Server" so the TSan sweep in ci.yml
-//                  picks it up.)
+//   PlanServer     the service stats document carries the "plan" section
+//                  cluster aggregation sums. (Suite name contains
+//                  "Server" so the TSan sweep in ci.yml picks it up.)
 //
 //===----------------------------------------------------------------------===//
 
@@ -488,7 +487,7 @@ TEST(PlanManager, SharedDiskTierSkipsRebuildInSecondManager) {
 // PlanServer — the stats document contract
 //===----------------------------------------------------------------------===//
 
-TEST(PlanServerStats, ServiceDocumentCarriesPlanAndBatchingSections) {
+TEST(PlanServerStats, ServiceDocumentCarriesPlanSectionAndNoBatching) {
   server::ServiceOptions O;
   O.Jobs = 2;
   O.Driver.WriteFiles = false;
@@ -521,14 +520,11 @@ TEST(PlanServerStats, ServiceDocumentCarriesPlanAndBatchingSections) {
   EXPECT_GT(statInt(R.Stats, "plan", "builds"), 0);
   ASSERT_NE(Plan->find("per_preset"), nullptr);
 
-  // The micro-batch section: per-preset counters under the same roof.
-  const json::Value *Batching = R.Stats.find("batching");
-  ASSERT_NE(Batching, nullptr);
-  EXPECT_GT(statInt(R.Stats, "batching", "batches_formed"), 0);
-  EXPECT_GE(statInt(R.Stats, "batching", "batched_units"),
-            statInt(R.Stats, "batching", "batches_formed"));
-  EXPECT_GE(statInt(R.Stats, "batching", "mean_batch_size_ppm"), 1000000);
-  ASSERT_NE(Batching->find("per_preset"), nullptr);
+  // Every request runs as its own pool task: nothing batch-shaped is left
+  // in the document.
+  EXPECT_EQ(R.Stats.find("batching"), nullptr);
+  EXPECT_EQ(R.Stats.find("batch_size"), nullptr);
+  EXPECT_EQ(R.Stats.find("server")->find("batch_max"), nullptr);
 
   // Verdicts under shadow plans are the general checker's: the document
   // must show zero divergences after real traffic.

@@ -4,9 +4,10 @@
 //
 //   ServerProtocol  frame + JSON codec round trips;
 //   ServerLoopback  ValidationService through the in-process transport
-//                   (same codec as the wire, no fds): batching, deadline
-//                   expiry, backpressure rejection, drain-on-shutdown,
-//                   and bit-identical verdicts vs. runBatchValidated;
+//                   (same codec as the wire, no fds): per-request
+//                   tasks, deadline expiry, backpressure rejection,
+//                   drain-on-shutdown, and bit-identical verdicts vs.
+//                   runBatchValidated;
 //   ServerSocket    the real Unix-domain socket front end under 8
 //                   concurrent clients, cross-checked against a direct
 //                   batch run on the same seeds.
@@ -19,6 +20,7 @@
 #include "ir/Printer.h"
 #include "server/Service.h"
 #include "server/SocketServer.h"
+#include "support/FaultInjection.h"
 #include "workload/RandomProgram.h"
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -248,39 +251,45 @@ TEST(ServerLoopback, PingWhileDrainingIsAliveButNotReady) {
   EXPECT_EQ(R.Reason, "draining");
 }
 
-TEST(ServerLoopback, QueuedRequestsCoalesceIntoOneBatch) {
+// Each admitted request is its own pool task: a request that hangs holds
+// one worker, never the requests admitted after it.
+TEST(ServerLoopback, SlowRequestDoesNotHoldBackALaterFastOne) {
   ServiceOptions O = fastOptions();
-  O.StartPaused = true;
+  O.Jobs = 2;
   ValidationService S(O);
   LoopbackTransport T(S);
 
-  constexpr int N = 6;
+  std::string Err;
+  ASSERT_TRUE(fault::configure("unit.hang:at=1:ms=2000", &Err)) << Err;
   std::mutex M;
   std::condition_variable Cv;
-  int Done = 0;
-  std::vector<Response> Rsps(N);
-  for (int I = 0; I != N; ++I)
-    T.submit(validateSeed(40 + I, I), [&, I](Response R) {
-      std::lock_guard<std::mutex> L(M);
-      Rsps[I] = std::move(R);
-      if (++Done == N)
-        Cv.notify_all();
-    });
-  EXPECT_EQ(S.queueDepth(), static_cast<size_t>(N));
-  EXPECT_EQ(S.counters().Batches, 0u) << "paused service must not dispatch";
+  std::optional<Response> Slow, Fast;
+  T.submit(validateSeed(40, 1), [&](Response R) {
+    std::lock_guard<std::mutex> L(M);
+    Slow = std::move(R);
+    Cv.notify_all();
+  });
+  // The slow unit has started once its hang fired.
+  while (fault::counters()["unit.hang"].Injected == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-  S.resume();
+  T.submit(validateSeed(41, 2), [&](Response R) {
+    std::lock_guard<std::mutex> L(M);
+    Fast = std::move(R);
+    Cv.notify_all();
+  });
   {
     std::unique_lock<std::mutex> L(M);
-    Cv.wait(L, [&] { return Done == N; });
+    Cv.wait(L, [&] { return Fast.has_value(); });
+    EXPECT_FALSE(Slow.has_value())
+        << "the later request waited for the hung one to finish";
+    Cv.wait(L, [&] { return Slow.has_value(); });
   }
-  EXPECT_EQ(S.counters().Batches, 1u)
-      << "all queued requests share a bug config: one coalesced batch";
-  for (int I = 0; I != N; ++I) {
-    EXPECT_EQ(Rsps[I].Id, I);
-    EXPECT_EQ(Rsps[I].Status, ResponseStatus::Ok);
-    EXPECT_GT(Rsps[I].totalV(), 0u);
-  }
+  fault::disarm();
+  EXPECT_EQ(Fast->Status, ResponseStatus::Ok) << Fast->Reason;
+  EXPECT_GT(Fast->totalV(), 0u);
+  EXPECT_EQ(Slow->Status, ResponseStatus::Ok) << Slow->Reason;
+  EXPECT_GT(Slow->totalV(), 0u);
 }
 
 TEST(ServerLoopback, ExpiredDeadlineSkipsValidation) {
@@ -492,7 +501,6 @@ TEST(ServerLoopback, StatsReflectServedWork) {
 TEST(ServerLoopback, StatsMonotoneUnderLoadAndDrainEquation) {
   ServiceOptions O = fastOptions();
   O.Jobs = 2;
-  O.BatchMax = 2; // several small batches, so mid-run scrapes see motion
   ValidationService S(O);
   LoopbackTransport T(S);
 
